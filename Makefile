@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 5
 CHAOS_SEED ?= 1
 
-.PHONY: all build test lint race race-tm fuzz-short chaos chaos-teeth bench serve-smoke serve-bench crash-smoke crash-chaos repl-smoke repl-chaos clean
+.PHONY: all build test lint race race-tm fuzz-short chaos chaos-teeth bench serve-smoke serve-bench serve-ab crash-smoke crash-chaos repl-smoke repl-chaos clean
 
 CRASH_SEED ?= 1
 
@@ -137,6 +137,17 @@ serve-bench:
 	$(GO) run ./cmd/benchjson -out BENCH_$(BENCHDATE).json \
 		$(if $(wildcard $(BENCHDIR)/current.txt),current=$(BENCHDIR)/current.txt) \
 		serve=$(BENCHDIR)/serve.txt serve-wal=$(BENCHDIR)/serve-wal.txt
+
+# Paired A/B of the serving benchmark (cmd/serveab): checks BASE out as a
+# git worktree under .bench_build, runs servebench/run.sh of BASE and of
+# this checkout in alternating order, PAIRS pairs on every workload of
+# BENCHMARK.json, each side with its own build directory, and prints each
+# metric's medians and quartiles, the pair wins and a verdict per carried
+# metric. `go run ./cmd/serveab -h` lists the rest (traced runs, seeds).
+BASE ?= HEAD~1
+PAIRS ?= 10
+serve-ab:
+	$(GO) run ./cmd/serveab -base $(BASE) -pairs $(PAIRS)
 
 # Prove the chaos checker still bites: a sabotaged engine must be caught.
 chaos-teeth:

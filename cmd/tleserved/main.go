@@ -43,7 +43,7 @@ func main() {
 		adapt      = flag.Bool("adaptive", true, "enable the per-shard adaptive policy controller")
 		interval   = flag.Duration("interval", 50*time.Millisecond, "adaptive sampling window")
 		shards     = flag.Int("shards", 8, "kvstore shards")
-		capacity   = flag.Int("capacity", 4096, "max items per shard (LRU eviction)")
+		capacity   = flag.Int("capacity", 4096, "max items per shard (LRU eviction); each shard's hash index gets as many buckets, rounded up to a power of two (at most 65536), 8 B each")
 		memWords   = flag.Int("mem", 1<<23, "simulated TM heap size in words")
 		maxConns   = flag.Int("conns", 48, "max concurrent connections")
 		queueDepth = flag.Int("queue", 128, "per-connection execution queue depth")

@@ -133,14 +133,17 @@ type HTM struct {
 	cfg   Config
 }
 
-// New creates an HTM simulator over the given heap.
+// New creates an HTM simulator over the given heap. Its line table, one
+// record per line of the heap, lives off the Go heap like the heap itself
+// and is released when the HTM is garbage collected (memseg.OffHeap; the
+// race detector build keeps it on the Go heap).
 func New(mem *memseg.Memory, cfg Config) *HTM {
-	nLines := mem.Size()/memseg.WordsPerLine + 1
-	return &HTM{
-		mem:   mem,
-		lines: make([]lineRec, nLines),
-		cfg:   cfg.withDefaults(),
+	h := &HTM{
+		mem: mem,
+		cfg: cfg.withDefaults(),
 	}
+	h.lines = memseg.OffHeap[lineRec](h, mem.Size()/memseg.WordsPerLine+1)
+	return h
 }
 
 // Memory returns the heap this HTM operates on.

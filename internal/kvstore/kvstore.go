@@ -54,6 +54,9 @@ const (
 // Shard block layout. The statistics words live inside the shard block so
 // every counter is guarded by exactly one mutex — a precondition for
 // running shards on different TM mechanisms (see the package comment).
+// The shard's hash index, one chain-head word per bucket, is a block of
+// its own (shard.index), so it can grow to memseg.MaxAlloc buckets and
+// costs exactly one word per bucket.
 const (
 	shCount   = 0
 	shLRUHead = 1 // most recently used
@@ -61,7 +64,7 @@ const (
 	shCasSeq  = 3 // CAS token sequence
 	shWalSeq  = 4 // WAL commit sequence (drawn inside mutating transactions)
 	shStats   = 5 // stWords counters
-	shBuckets = shStats + stWords
+	shWords   = shStats + stWords
 )
 
 // Per-shard stats word indices (relative to sh.base+shStats).
@@ -84,7 +87,11 @@ const (
 type Config struct {
 	// Shards is rounded up to a power of two (default 8).
 	Shards int
-	// BucketsPerShard is rounded up to a power of two (default 64).
+	// BucketsPerShard sizes each shard's hash index. It is rounded up to
+	// a power of two and clamped to memseg.MaxAlloc, the largest block.
+	// The default is MaxItemsPerShard, so a full shard averages at most
+	// one item per bucket chain and a get walks O(1) items. The index
+	// costs one simulated-heap word (8 B) per bucket.
 	BucketsPerShard int
 	// MaxItemsPerShard triggers LRU eviction (default 1024).
 	MaxItemsPerShard int
@@ -94,11 +101,11 @@ func (c Config) withDefaults() Config {
 	if c.Shards < 1 {
 		c.Shards = 8
 	}
-	if c.BucketsPerShard < 1 {
-		c.BucketsPerShard = 64
-	}
 	if c.MaxItemsPerShard < 1 {
 		c.MaxItemsPerShard = 1024
+	}
+	if c.BucketsPerShard < 1 {
+		c.BucketsPerShard = c.MaxItemsPerShard
 	}
 	return c
 }
@@ -120,16 +127,26 @@ type Store struct {
 }
 
 type shard struct {
-	mu   *tle.Mutex
-	base memseg.Addr
-	mask uint64
+	mu    *tle.Mutex
+	base  memseg.Addr // shWords header words
+	index memseg.Addr // mask+1 bucket chain heads
+	mask  uint64
+}
+
+// bucket returns the index word heading h's chain. It takes the top 24
+// bits of the hash, which are disjoint from the low bits that pick the
+// shard and are the best mixed: fnv1a's last multiply, by 2^40 + 0x1b3,
+// adds the low 24 bits of the state into them, while bits 32-39 get only
+// the small 0x1b3 term and gave chains three times longer.
+func (sh *shard) bucket(h uint64) memseg.Addr {
+	return sh.index + memseg.Addr((h>>40)&sh.mask)
 }
 
 // New creates a store on the runtime's engine.
 func New(r *tle.Runtime, cfg Config) *Store {
 	cfg = cfg.withDefaults()
 	nsh := ceilPow2(cfg.Shards)
-	nbk := ceilPow2(cfg.BucketsPerShard)
+	nbk := ceilPow2(min(cfg.BucketsPerShard, memseg.MaxAlloc))
 	cfg.Shards, cfg.BucketsPerShard = nsh, nbk
 	s := &Store{
 		r:       r,
@@ -139,9 +156,10 @@ func New(r *tle.Runtime, cfg Config) *Store {
 	}
 	for i := range s.shards {
 		s.shards[i] = shard{
-			mu:   r.NewMutex(fmt.Sprintf("kv-shard-%d", i)),
-			base: r.Engine().Alloc(shBuckets + nbk),
-			mask: uint64(nbk - 1),
+			mu:    r.NewMutex(fmt.Sprintf("kv-shard-%d", i)),
+			base:  r.Engine().Alloc(shWords),
+			index: r.Engine().Alloc(nbk),
+			mask:  uint64(nbk - 1),
 		}
 	}
 	return s
@@ -483,7 +501,7 @@ func (s *Store) GetItemAppend(th *tm.Thread, key, dst []byte) ([]byte, Item, boo
 	}
 	h := fnv1a(key)
 	sh := s.shardFor(h)
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
+	bucket := sh.bucket(h)
 	base := len(dst)
 	var it Item
 	found := false
@@ -663,7 +681,7 @@ func (s *Store) mutate(th *tm.Thread, key, val []byte, flags uint32, mode storeM
 // quiesce), and the eviction count. WAL publication and the NoQuiesce
 // decision stay with the caller, which sees the whole transaction.
 func (s *Store) applyStore(tx tm.Tx, sh *shard, h uint64, key, val []byte, flags uint32, mode storeMode, wantCas uint64) (status StoreStatus, privatized bool, evicted uint64) {
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
+	bucket := sh.bucket(h)
 	linkAt, old := s.findInChain(tx, sh, bucket, key)
 	switch mode {
 	case modeAdd:
@@ -793,7 +811,7 @@ func (s *Store) IncrD(th *tm.Thread, key []byte, delta uint64, decr bool) (uint6
 // value is read into a stack buffer too (a stored counter never exceeds
 // 20 digits), so the read side allocates nothing.
 func (s *Store) applyIncr(tx tm.Tx, sh *shard, h uint64, key []byte, delta uint64, decr bool, dst []byte) (newVal uint64, newBytes []byte, flags uint32, status IncrStatus, privatized bool) {
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
+	bucket := sh.bucket(h)
 	linkAt, item := s.findInChain(tx, sh, bucket, key)
 	if item == memseg.Nil {
 		return 0, nil, 0, IncrNotFound, false
@@ -873,7 +891,7 @@ func (s *Store) evict(tx tm.Tx, sh *shard, victim memseg.Addr) {
 	meta := tx.Load(victim + itMeta)
 	key := unpackBytes(tx, victim+itData, int(meta>>32))
 	h := fnv1a(key)
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
+	bucket := sh.bucket(h)
 	linkAt, item := s.findInChain(tx, sh, bucket, key)
 	if item == victim {
 		tx.Store(linkAt, tx.Load(victim+itChain))
@@ -916,7 +934,7 @@ func (s *Store) DeleteD(th *tm.Thread, key []byte) (bool, wal.Ticket, error) {
 // reports whether an item was unlinked and freed (false = miss, nothing
 // privatized).
 func (s *Store) applyDelete(tx tm.Tx, sh *shard, h uint64, key []byte) bool {
-	bucket := sh.base + shBuckets + memseg.Addr((h>>32)&sh.mask)
+	bucket := sh.bucket(h)
 	linkAt, item := s.findInChain(tx, sh, bucket, key)
 	if item == memseg.Nil {
 		return false

@@ -202,6 +202,11 @@ func TestMatchesModel(t *testing.T) {
 	if n, _ := s.Len(th); n != len(model) {
 		t.Fatalf("Len = %d, model %d", n, len(model))
 	}
+	// The explicit two-bucket index takes precedence over the default, so
+	// the chains really were long: by pigeonhole one holds half the keys.
+	if got, want := longestChain(s, 0), (len(model)+1)/2; got < want {
+		t.Fatalf("longest chain = %d items, want >= %d with 2 buckets", got, want)
+	}
 }
 
 // LRU eviction: capacity 3 in a single shard evicts in exact LRU order.

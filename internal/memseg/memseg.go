@@ -69,16 +69,18 @@ type Memory struct {
 
 // New returns a segment of the given size in words. Sizes below 1024 words
 // are rounded up. Poisoning of freed blocks is enabled by default; see
-// SetPoison.
+// SetPoison. The words live off the Go heap, in a mapping released when
+// the Memory is garbage collected, except under the race detector and on
+// non-unix builds (see OffHeap).
 func New(words int) *Memory {
 	if words < 1024 {
 		words = 1024
 	}
 	m := &Memory{
-		words:  make([]uint64, words),
 		limit:  uint64(words),
 		poison: true,
 	}
+	m.words = OffHeap[uint64](m, words)
 	m.next.Store(1) // skip word 0 (Nil)
 	return m
 }

@@ -80,7 +80,9 @@ const orecsPerLineLog2 = 3
 
 // NewTable returns an orec table with 1<<sizeLog2 entries and the given
 // stripe granularity (words per stripe = 1<<stripeShift), using the flat
-// layout (see the layout audit in the Table doc).
+// layout (see the layout audit in the Table doc). The orecs live off the
+// Go heap and are released when the Table is garbage collected
+// (memseg.OffHeap; the race detector build keeps them on the Go heap).
 func NewTable(sizeLog2, stripeShift int) *Table {
 	if sizeLog2 < 4 {
 		sizeLog2 = 4
@@ -91,11 +93,12 @@ func NewTable(sizeLog2, stripeShift int) *Table {
 	if stripeShift < 0 {
 		stripeShift = 0
 	}
-	return &Table{
-		recs:        make([]atomic.Uint64, 1<<sizeLog2),
+	t := &Table{
 		mask:        uint32(1<<sizeLog2 - 1),
 		stripeShift: uint32(stripeShift),
 	}
+	t.recs = memseg.OffHeap[atomic.Uint64](t, 1<<sizeLog2)
+	return t
 }
 
 // InterleavedSlot is the cache-line-interleaving permutation from the layout

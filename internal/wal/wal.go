@@ -14,9 +14,12 @@ import (
 // Options.FsyncWindow is zero. With every shard feeding one shared fsync
 // stream, half a millisecond folds the appends of dozens of concurrent
 // committers into each fsync while adding less ack latency than the fsync
-// itself costs; measured against eager fsync (no window) on the serving
-// bench it is both faster and ~2x better batched, because the window also
-// keeps the syncer from burning the disk on near-empty flushes.
+// itself costs. Against eager fsync (no window) on the serving bench it
+// measured both faster and ~2x better batched, because the window also
+// keeps the syncer from burning the disk on near-empty flushes. That
+// comparison ran on a 1-vCPU host, where the window overslept to ~1 ms
+// (at GOMAXPROCS=1 it still does; see sleepWindow); it has not been
+// re-measured with a window that lasts 500 µs.
 const DefaultFsyncWindow = 500 * time.Microsecond
 
 // Options parameterises a Log.
@@ -410,7 +413,7 @@ func (l *Log) syncLoop() {
 			if !closed {
 				// Accumulate: appends keep landing in buf while we sleep;
 				// they all ride this iteration's fsync.
-				time.Sleep(w)
+				sleepWindow(w)
 			}
 		}
 		l.mu.Lock()
