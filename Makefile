@@ -76,7 +76,9 @@ chaos:
 	$(GO) test . -run TestChaos -v
 	$(GO) run ./cmd/chaosbench -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
-# Paper-figure + commit-pipeline benchmarks with pinned -benchtime/-count.
+# Paper-figure + commit-pipeline benchmarks with pinned -benchtime/-count,
+# plus the simulated HTM's per-access cost (an uncontended read-modify-write
+# and the read-line/LRU-bump shape of a kvstore get).
 # Raw text goes to $(BENCHDIR)/current.txt (benchstat-compatible); the JSON
 # summary lands in BENCH_$(BENCHDATE).json. To also fold in a pre-change
 # capture, add baseline=<file> via BENCH_BASELINE, e.g.
@@ -88,6 +90,8 @@ bench:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee $(BENCHDIR)/current.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSharedGrace' \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/epoch | tee -a $(BENCHDIR)/current.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkUncontendedRMW|BenchmarkGetShape' \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/htm | tee -a $(BENCHDIR)/current.txt
 	$(GO) run ./cmd/benchjson -out BENCH_$(BENCHDATE).json \
 		$(if $(BENCH_BASELINE),baseline=$(BENCH_BASELINE)) current=$(BENCHDIR)/current.txt
 

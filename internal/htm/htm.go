@@ -5,7 +5,11 @@
 // The simulation preserves the properties the paper depends on:
 //
 //   - Low per-access latency: no version clock, no validation loops; an
-//     access touches one line record and (for writes) a small buffer.
+//     access touches one line record and (for writes) a small buffer. The
+//     descriptor keeps no maps: read/write set membership is the thread's
+//     bit or id in the shared line record, and buffered writes are an
+//     ordered log with a generation-stamped index, so Begin, Commit and
+//     abort cost O(lines touched), not a hash per access.
 //   - Eager, cache-line-granular conflict detection: an access that
 //     conflicts with another transaction's line dooms that transaction,
 //     mirroring how a coherence request aborts the TSX transaction holding
@@ -16,21 +20,24 @@
 //     access more data than fits in the cache" (Section II.A).
 //   - Event aborts: a seeded per-access probability models interrupts and
 //     other transient causes that make best-effort HTM fail independently of
-//     data conflicts.
+//     data conflicts. Each descriptor counts down a geometric gap drawn once
+//     per event, which is the same per-access Bernoulli law without a random
+//     draw on every access.
 //   - Strong isolation: non-transactional accesses participate in conflict
 //     detection and doom conflicting transactions, which is why HTM needs no
 //     quiescence (Section IV: "In HTM, such accesses are not possible").
 //
 // Writes are buffered (lazy versioning, like TSX's L1 write buffering) and
 // flushed at commit; doomed transactions may observe inconsistent values
-// but can never commit them, so committed transactions are serializable.
+// but can never commit them, read-only ones included, so committed
+// transactions are serializable.
 //
 // Retry policy and the serial fallback lock live in the engine (package tm).
 package htm
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 	"sync/atomic"
 
 	"gotle/internal/abortsig"
@@ -131,6 +138,11 @@ type HTM struct {
 	//gotle:allow falseshare per-thread status words are written once per attempt, read by the owner; contention is negligible in the simulator
 	cause [MaxThreads]atomic.Uint32 // abort cause set by the attacker
 	cfg   Config
+	// loadHook, when set, runs in Load between the last doom check and the
+	// memory read. Tests park a reader there while a writer commits over
+	// its read set (TestReadOnlyCommitChecksDoom). Set before the HTM is
+	// shared; nil costs one branch per Load.
+	loadHook func(memseg.Addr)
 }
 
 // New creates an HTM simulator over the given heap. Its line table, one
@@ -151,20 +163,59 @@ func (h *HTM) Memory() *memseg.Memory { return h.mem }
 
 // Tx is a per-thread hardware transaction descriptor, reused across
 // attempts. Not safe for concurrent use.
+//
+// The descriptor keeps no maps. Set membership is read from the shared
+// line records, which is where the conflict protocol needs it anyway: a
+// line is in the read set when our bit is in its readers mask and in the
+// write set when its writer is id+1. Only the owner sets those fields and
+// only the owner's release clears them (a conflicting access may steal a
+// write claim, but only after dooming the owner). readLines and
+// writeLines list the lines in the order they were taken, for capacity
+// accounting and release.
 type Tx struct {
 	h    *HTM
 	id   uint32
 	bit  uint64
-	rng  *rand.Rand
 	live bool
 
-	writeBuf   map[memseg.Addr]uint64
-	writeLines map[uint32]struct{}
-	readLines  map[uint32]struct{}
+	readLines  []uint32
+	writeLines []uint32
+
+	// The write buffer: an ordered log of buffered words, each address
+	// once, and an open-addressing index over it. An index slot is live
+	// only when its stamp equals gen, so discarding the buffer is one
+	// increment of gen.
+	log   []logEntry
+	index []indexSlot // power-of-two length, at most half full
+	shift uint8       // 32 - log2(len(index))
+	gen   uint32      // never 0: a fresh slot's stamp
+
 	// setOccupancy counts distinct write lines per cache set under the
 	// associative model (nil when disabled).
 	setOccupancy []uint8
+
+	// untilEvent counts accesses down to the next event abort; rng is the
+	// splitmix64 state the gaps are drawn from.
+	untilEvent int64
+	rng        uint64
 }
+
+type logEntry struct {
+	addr memseg.Addr
+	val  uint64
+}
+
+type indexSlot struct {
+	gen uint32 // live when equal to Tx.gen
+	pos uint32 // position in Tx.log
+}
+
+// initialIndex is the write index's starting size: 8 buffered words before
+// it first doubles.
+const (
+	initialIndexBits = 4
+	initialIndex     = 1 << initialIndexBits
+)
 
 // NewTx returns a descriptor for thread id (must be < MaxThreads).
 func (h *HTM) NewTx(id uint64) *Tx {
@@ -175,14 +226,18 @@ func (h *HTM) NewTx(id uint64) *Tx {
 		h:          h,
 		id:         uint32(id),
 		bit:        1 << id,
-		rng:        rand.New(rand.NewSource(h.cfg.Seed ^ int64(id*2654435761+1))),
-		writeBuf:   make(map[memseg.Addr]uint64),
-		writeLines: make(map[uint32]struct{}),
-		readLines:  make(map[uint32]struct{}),
+		readLines:  make([]uint32, 0, 16),
+		writeLines: make([]uint32, 0, 8),
+		log:        make([]logEntry, 0, initialIndex/2),
+		index:      make([]indexSlot, initialIndex),
+		shift:      32 - initialIndexBits,
+		gen:        1,
+		rng:        uint64(h.cfg.Seed) ^ (id+1)*0xD1B54A32D192ED03,
 	}
 	if sets := h.cfg.numSets(); sets > 0 {
 		t.setOccupancy = make([]uint8, sets)
 	}
+	t.untilEvent = t.eventGap()
 	return t
 }
 
@@ -196,10 +251,6 @@ func (t *Tx) Begin() {
 		// and now; reset unconditionally.
 		t.h.status[t.id].Store(stActive)
 	}
-	clear(t.writeBuf)
-	clear(t.writeLines)
-	clear(t.readLines)
-	clear(t.setOccupancy)
 	t.live = true
 }
 
@@ -207,7 +258,7 @@ func (t *Tx) Begin() {
 func (t *Tx) Live() bool { return t.live }
 
 // ReadOnly reports whether the attempt has performed no writes.
-func (t *Tx) ReadOnly() bool { return len(t.writeBuf) == 0 }
+func (t *Tx) ReadOnly() bool { return len(t.log) == 0 }
 
 func (t *Tx) abort(cause stats.AbortCause) {
 	abortsig.Throw(cause)
@@ -221,11 +272,54 @@ func (t *Tx) checkDoom() {
 	}
 }
 
-// maybeEvent rolls for a transient abort.
+// maybeEvent counts one access towards the next transient abort.
 func (t *Tx) maybeEvent() {
-	if t.rng.Intn(1_000_000) < t.h.cfg.EventAbortPerMillion {
+	if t.eventDue() {
 		t.abort(stats.Event)
 	}
+}
+
+// eventDue reports whether this access draws an event abort, and if so
+// draws the gap to the next one.
+func (t *Tx) eventDue() bool {
+	t.untilEvent--
+	if t.untilEvent > 0 {
+		return false
+	}
+	t.untilEvent = t.eventGap()
+	return true
+}
+
+// eventGap draws the number of accesses up to and including the next event
+// abort. With p = EventAbortPerMillion/1e6 it is geometric on {1, 2, ...}:
+// the law of the first success in independent per-access Bernoulli(p)
+// trials, so drawing once per event instead of rolling on every access
+// leaves the abort process unchanged.
+func (t *Tx) eventGap() int64 {
+	ppm := t.h.cfg.EventAbortPerMillion
+	switch {
+	case ppm <= 0:
+		return math.MaxInt64 // never fires
+	case ppm >= 1_000_000:
+		return 1 // every access fires
+	}
+	// Inverse transform: u uniform on (0, 1], gap = 1 + floor(ln u / ln(1-p)).
+	u := float64(t.rand64()>>11+1) / (1 << 53)
+	g := math.Floor(math.Log(u)/math.Log1p(-float64(ppm)/1e6)) + 1
+	if g >= 1<<62 {
+		return 1 << 62
+	}
+	return int64(g)
+}
+
+// rand64 is splitmix64: one add and three xor-multiply mixes, enough for
+// the few draws event aborts need and free of allocation.
+func (t *Tx) rand64() uint64 {
+	t.rng += 0x9E3779B97F4A7C15
+	z := t.rng
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
 }
 
 // doom tries to abort the transaction with the given id (caller has observed
@@ -266,18 +360,22 @@ func (t *Tx) Load(a memseg.Addr) uint64 {
 		// Injected coherence conflict: another core's request took our line.
 		t.abort(stats.Conflict)
 	}
-	if v, ok := t.writeBuf[a]; ok {
-		return v
+	if pos := t.find(a); pos >= 0 {
+		return t.log[pos].val
 	}
 	t.trackReadLine(a.Line())
 	t.checkDoom()
+	if t.h.loadHook != nil {
+		t.h.loadHook(a)
+	}
 	return t.h.mem.Load(a)
 }
 
 // trackReadLine registers a line in the read set, resolving conflicts with
 // concurrent writers. A no-op when the line is already tracked.
 func (t *Tx) trackReadLine(line uint32) {
-	if _, tracked := t.readLines[line]; tracked {
+	rec := &t.h.lines[line]
+	if rec.readers.Load()&t.bit != 0 {
 		return
 	}
 	if len(t.readLines) >= t.h.cfg.ReadCapacityLines {
@@ -286,8 +384,7 @@ func (t *Tx) trackReadLine(line uint32) {
 	// Record the line before touching the shared record so that an
 	// abort anywhere below still releases the reader bit in OnAbort
 	// (clearing an unset bit is harmless).
-	t.readLines[line] = struct{}{}
-	rec := &t.h.lines[line]
+	t.readLines = append(t.readLines, line)
 	// Resolve against a concurrent writer, register, then re-check: the
 	// re-check closes the race where a writer registers between our
 	// check and our registration.
@@ -323,16 +420,20 @@ func (t *Tx) Store(a memseg.Addr, v uint64) {
 		t.abort(stats.Capacity)
 	}
 	t.trackWriteLine(a.Line())
-	t.writeBuf[a] = v
+	t.buffer(a, v)
 	t.checkDoom()
 }
 
 // trackWriteLine registers a line in the write set, charging the capacity
 // model and claiming exclusive ownership. A no-op when already tracked.
 func (t *Tx) trackWriteLine(line uint32) {
-	if _, tracked := t.writeLines[line]; tracked {
+	if t.h.lines[line].writer.Load() == t.id+1 {
 		return
 	}
+	// A line we claimed earlier in this attempt is no longer ours only if
+	// a conflicting access doomed us and stole it. Abort now: re-claiming
+	// would doom the thief on behalf of an attempt that cannot commit.
+	t.checkDoom()
 	if len(t.writeLines) >= t.h.cfg.WriteCapacityLines {
 		t.abort(stats.Capacity)
 	}
@@ -345,7 +446,7 @@ func (t *Tx) trackWriteLine(line uint32) {
 	}
 	// Record before claiming: if claimLine aborts mid-way, OnAbort's
 	// conditional release (CAS id+1 → 0) cleans up whatever was taken.
-	t.writeLines[line] = struct{}{}
+	t.writeLines = append(t.writeLines, line)
 	t.claimLine(line)
 }
 
@@ -363,8 +464,8 @@ func (t *Tx) LoadRange(a memseg.Addr, dst []uint64) {
 	prev := int64(-1)
 	for i := range dst {
 		aa := a + memseg.Addr(i)
-		if v, ok := t.writeBuf[aa]; ok {
-			dst[i] = v
+		if pos := t.find(aa); pos >= 0 {
+			dst[i] = t.log[pos].val
 			continue
 		}
 		if l := aa.Line(); int64(l) != prev {
@@ -394,9 +495,64 @@ func (t *Tx) StoreRange(a memseg.Addr, src []uint64) {
 			t.trackWriteLine(l)
 			prev = int64(l)
 		}
-		t.writeBuf[aa] = v
+		t.buffer(aa, v)
 	}
 	t.checkDoom()
+}
+
+// slot returns a's home slot in the write index.
+func (t *Tx) slot(a memseg.Addr) uint32 {
+	return uint32(a) * 0x9E3779B1 >> t.shift
+}
+
+// find returns the log position of a's buffered value, or -1.
+func (t *Tx) find(a memseg.Addr) int {
+	if len(t.log) == 0 {
+		return -1
+	}
+	mask := uint32(len(t.index) - 1)
+	for i := t.slot(a); ; i = (i + 1) & mask {
+		s := t.index[i]
+		if s.gen != t.gen {
+			return -1
+		}
+		if t.log[s.pos].addr == a {
+			return int(s.pos)
+		}
+	}
+}
+
+// buffer records v as a's buffered value: in place when a is already in the
+// log (last store wins), appended otherwise.
+func (t *Tx) buffer(a memseg.Addr, v uint64) {
+	mask := uint32(len(t.index) - 1)
+	i := t.slot(a)
+	for ; t.index[i].gen == t.gen; i = (i + 1) & mask {
+		if pos := t.index[i].pos; t.log[pos].addr == a {
+			t.log[pos].val = v
+			return
+		}
+	}
+	t.index[i] = indexSlot{gen: t.gen, pos: uint32(len(t.log))}
+	t.log = append(t.log, logEntry{addr: a, val: v})
+	if 2*len(t.log) > len(t.index) {
+		t.growIndex()
+	}
+}
+
+// growIndex doubles the write index and re-inserts the log. The new slots'
+// zero stamps are never live.
+func (t *Tx) growIndex() {
+	t.index = make([]indexSlot, 2*len(t.index))
+	t.shift--
+	mask := uint32(len(t.index) - 1)
+	for pos, e := range t.log {
+		i := t.slot(e.addr)
+		for t.index[i].gen == t.gen {
+			i = (i + 1) & mask
+		}
+		t.index[i] = indexSlot{gen: t.gen, pos: uint32(pos)}
+	}
 }
 
 // claimLine takes exclusive write ownership of a line, dooming conflicting
@@ -438,47 +594,53 @@ func (t *Tx) Commit() (readOnly bool) {
 	if !t.live {
 		panic("htm: Commit without Begin")
 	}
-	if len(t.writeBuf) == 0 {
-		t.finish()
+	if len(t.log) == 0 {
+		// A read-only attempt commits at this check: a writer that
+		// changed a line we read, even during our last Load, doomed us.
+		t.checkDoom()
+		t.release()
 		return true
 	}
 	if !t.h.status[t.id].CompareAndSwap(stActive, stCommitting) {
 		t.abort(stats.AbortCause(t.h.cause[t.id].Load()))
 	}
-	// From here we cannot be doomed; flush the buffer. Readers that raced
-	// with us were doomed when we claimed their lines.
-	for a, v := range t.writeBuf {
-		t.h.mem.Store(a, v)
+	// From here we cannot be doomed; flush the log in order. Readers that
+	// raced with us were doomed when we claimed their lines.
+	for _, e := range t.log {
+		t.h.mem.Store(e.addr, e.val)
 	}
-	t.finish()
+	t.release()
 	return false
-}
-
-// finish releases all line claims and resets status.
-func (t *Tx) finish() {
-	t.releaseLines()
-	t.h.status[t.id].Store(stInactive)
-	t.live = false
 }
 
 // OnAbort discards the write buffer and releases line claims. The engine
 // calls this from its recover handler.
-func (t *Tx) OnAbort() {
-	t.releaseLines()
-	t.h.status[t.id].Store(stInactive)
-	clear(t.writeBuf)
-	clear(t.writeLines)
-	clear(t.readLines)
-	t.live = false
-}
+func (t *Tx) OnAbort() { t.release() }
 
-func (t *Tx) releaseLines() {
-	for line := range t.writeLines {
+// release ends the attempt: it drops the line claims, resets status and
+// empties the read set, write set and write buffer.
+func (t *Tx) release() {
+	for _, line := range t.writeLines {
 		t.h.lines[line].writer.CompareAndSwap(t.id+1, 0)
 	}
-	for line := range t.readLines {
+	for _, line := range t.readLines {
 		t.h.lines[line].readers.And(^t.bit)
 	}
+	t.h.status[t.id].Store(stInactive)
+	t.readLines = t.readLines[:0]
+	if len(t.writeLines) > 0 {
+		t.writeLines = t.writeLines[:0]
+		clear(t.setOccupancy)
+	}
+	if len(t.log) > 0 {
+		t.log = t.log[:0]
+		if t.gen++; t.gen == 0 {
+			// Wrapped: slots stamped one cycle ago would read as live.
+			clear(t.index)
+			t.gen = 1
+		}
+	}
+	t.live = false
 }
 
 // InvalidateBlock dooms every transaction with any line of the block

@@ -59,7 +59,7 @@ func attempt(t *Tx, fn func(*Tx)) (cause stats.AbortCause, aborted bool) {
 func newHTM(tb testing.TB, cfg Config) (*HTM, memseg.Addr) {
 	tb.Helper()
 	if cfg.EventAbortPerMillion == 0 {
-		cfg.EventAbortPerMillion = -1 // rng.Intn(1e6) < -1 never fires
+		cfg.EventAbortPerMillion = -1 // a negative rate never fires
 	}
 	mem := memseg.New(1 << 16)
 	h := New(mem, cfg)
@@ -212,6 +212,29 @@ func TestSameLineCountsOnce(t *testing.T) {
 	}); aborted {
 		t.Fatal("writes within one line triggered capacity abort")
 	}
+
+	// Loading a line many times, word by word or by range, charges the
+	// read capacity once.
+	h, block := newHTM(t, Config{ReadCapacityLines: 2})
+	base = (block + memseg.WordsPerLine - 1) &^ (memseg.WordsPerLine - 1) // line-aligned
+	tx = h.NewTx(1)
+	var buf [2 * memseg.WordsPerLine]uint64
+	if _, aborted := attempt(tx, func(tx *Tx) {
+		for i := 0; i < 50; i++ {
+			_ = tx.Load(base + memseg.Addr(i%memseg.WordsPerLine))
+			_ = tx.Load(base + memseg.WordsPerLine)
+			tx.LoadRange(base, buf[:])
+		}
+	}); aborted {
+		t.Fatal("re-reading two lines capacity-aborted")
+	}
+	cause, aborted := attempt(tx, func(tx *Tx) {
+		tx.LoadRange(base, buf[:])
+		_ = tx.Load(base + 2*memseg.WordsPerLine)
+	})
+	if !aborted || cause != stats.Capacity {
+		t.Fatalf("third read line: aborted=%v cause=%v", aborted, cause)
+	}
 }
 
 func TestEventAborts(t *testing.T) {
@@ -356,5 +379,23 @@ func BenchmarkUncontendedRMW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(tx, func(tx *Tx) { tx.Store(base, tx.Load(base)+1) })
+	}
+}
+
+// BenchmarkGetShape is the HTM footprint of a kvstore get: three read lines
+// (bucket, item header, value) and a 2-word LRU bump.
+func BenchmarkGetShape(b *testing.B) {
+	h, base := newHTM(b, Config{})
+	tx := h.NewTx(1)
+	item := base + memseg.WordsPerLine
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(tx, func(tx *Tx) {
+			_ = tx.Load(base)
+			_ = tx.Load(item)
+			_ = tx.Load(item + memseg.WordsPerLine)
+			tx.Store(item+1, uint64(i))
+			tx.Store(item+2, uint64(i))
+		})
 	}
 }
